@@ -40,7 +40,10 @@ fn bench_defense(c: &mut Criterion) {
         b.iter(|| {
             let mut core = Core::new(MicroArch::AmdEpyc7252, 7);
             core.set_interference(InterferenceConfig::isolated());
-            black_box(GadgetStack::calibrate(&isa, &mut core, gadgets.clone(), 64))
+            black_box(
+                GadgetStack::calibrate(&isa, &mut core, gadgets.clone(), 64)
+                    .expect("non-empty gadget stack"),
+            )
         });
     });
 
@@ -53,7 +56,8 @@ fn bench_defense(c: &mut Criterion) {
             &mut core,
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             64,
-        );
+        )
+        .expect("non-empty gadget stack");
         let mut obf = Obfuscator::new(
             stack,
             Box::new(LaplaceMechanism::new(1.0, 1)),

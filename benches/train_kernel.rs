@@ -125,7 +125,8 @@ fn sweep_bed() -> SweepBed {
         &mut cal_core,
         vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
         64,
-    );
+    )
+    .expect("non-empty gadget stack");
     SweepBed {
         host,
         vm,

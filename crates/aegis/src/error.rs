@@ -1,6 +1,7 @@
 //! The facade's typed error: everything the public `aegis` API can fail
 //! with, in one enum.
 
+use aegis_obfuscator::StackError;
 use aegis_perf::PerfError;
 use aegis_sev::HostError;
 use std::fmt;
@@ -65,6 +66,16 @@ pub enum AegisError {
         context: String,
         /// Why it failed.
         message: String,
+    },
+    /// The offline stage produced no usable gadget stack for the app —
+    /// typically fuzzing left the covering set empty. A plan without
+    /// gadgets would inject zero noise while claiming protection, so
+    /// none is issued and the tenant is refused deployment.
+    Uncoverable {
+        /// The profiled app.
+        app: String,
+        /// Why the stack could not be built.
+        reason: StackError,
     },
     /// A tenant's ε budget cannot cover a requested deployment epoch;
     /// the service refuses and the guest's counters stay fail-closed.
@@ -142,6 +153,9 @@ impl fmt::Display for AegisError {
             AegisError::Service { context, message } => {
                 write!(f, "service error {context}: {message}")
             }
+            AegisError::Uncoverable { app, reason } => {
+                write!(f, "no defense plan for {app}: {reason}")
+            }
             AegisError::BudgetExhausted {
                 tenant,
                 requested,
@@ -161,6 +175,7 @@ impl std::error::Error for AegisError {
         match self {
             AegisError::Host(e) => Some(e),
             AegisError::Io { source, .. } => Some(source),
+            AegisError::Uncoverable { reason, .. } => Some(reason),
             _ => None,
         }
     }
@@ -204,5 +219,15 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("acme") && s.contains("exhausted"), "{s}");
+        let e = AegisError::Uncoverable {
+            app: "keystroke-sniffing".into(),
+            reason: StackError::Empty,
+        };
+        let s = e.to_string();
+        assert!(
+            s.contains("keystroke-sniffing") && s.contains("empty"),
+            "{s}"
+        );
+        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -988,7 +988,8 @@ mod tests {
             &mut core,
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             64,
-        );
+        )
+        .expect("non-empty gadget stack");
         DefenseDeployment {
             stack,
             mechanism: MechanismChoice::Laplace { epsilon: 0.25 },

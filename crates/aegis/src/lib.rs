@@ -73,8 +73,8 @@ pub use pipeline::{
 };
 pub use plan::DefensePlan;
 pub use service::{
-    AegisService, EpsilonLedger, HealthReport, ServiceConfig, ServiceHandle, ServiceReport,
-    SessionHealth, SessionId, SessionReport, Status, SupervisorConfig,
+    profile_key, AegisService, EpsilonLedger, HealthReport, ServiceConfig, ServiceHandle,
+    ServiceReport, SessionHealth, SessionId, SessionReport, Status, SupervisorConfig,
 };
 pub use sweep::{SweepCell, SweepConfig, SweepOutcome};
 

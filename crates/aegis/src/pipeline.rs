@@ -446,11 +446,15 @@ impl AegisPipeline {
     /// This is a thin start → profile → shutdown sequence over the
     /// service plane ([`AegisService`]): batch profiling and service-mode
     /// profiling execute the exact same stages, so the two paths cannot
-    /// drift.
+    /// drift. Profiling runs on a replica of the vCPU's core and is
+    /// memoized in the artifact store (see
+    /// [`ServiceHandle::profile`](crate::service::ServiceHandle::profile)),
+    /// so the template host is left exactly as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`AegisError::Host`] for invalid vm/vcpu ids.
+    /// Returns [`AegisError::Host`] for invalid vm/vcpu ids and
+    /// [`AegisError::Uncoverable`] when no covering gadget was found.
     pub fn offline(
         template: &mut Host,
         vm: VmId,

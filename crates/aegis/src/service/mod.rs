@@ -37,10 +37,12 @@
 //! [`LedgerSlot::Shared`].
 
 mod ledger;
+mod profile;
 mod supervisor;
 
 pub use ledger::{EpsilonLedger, LEDGER_KIND};
 pub(crate) use ledger::{LedgerSlot, TenantLedgers};
+pub use profile::profile_key;
 pub use supervisor::{Status, SupervisorConfig};
 
 use crate::error::AegisError;
@@ -50,12 +52,12 @@ use aegis_faults::{self as faults, site, FaultPlan, FaultStream};
 use aegis_fuzzer::{cluster_gadgets, covering_set, EventFuzzer, GadgetStats};
 use aegis_isa::IsaCatalog;
 use aegis_microarch::{Core, InterferenceConfig};
-use aegis_obfuscator::Obfuscator;
+use aegis_obfuscator::{GadgetStack, Obfuscator};
 use aegis_obs as obs;
 use aegis_par::{derive_seed, ArtifactCache};
-use aegis_profiler::{rank_events, warmup_profile};
 use aegis_sev::{Host, ProtectionStatus, VmId, TICK_NS};
 use aegis_workloads::SecretApp;
+use profile::profile_replica;
 use std::path::PathBuf;
 use supervisor::SessionState;
 
@@ -398,16 +400,25 @@ impl<'h> ServiceHandle<'h> {
         Ok(self.plane.shutdown(self.host))
     }
 
-    /// Runs the offline profiling pipeline on the service's host:
-    /// warm-up profiling, mutual-information ranking, event fuzzing on
-    /// an isolated core, covering-set extraction, and stack calibration.
-    /// This *is* the profiler daemon of the plane — `AegisPipeline::
-    /// offline` delegates here, so batch and service profiling cannot
-    /// drift.
+    /// Runs the offline profiling pipeline for `(vm, vcpu)` of the
+    /// service's host: warm-up profiling, mutual-information ranking,
+    /// event fuzzing on an isolated core, covering-set extraction, and
+    /// stack calibration. This *is* the profiler daemon of the plane —
+    /// `AegisPipeline::offline` delegates here, so batch and service
+    /// profiling cannot drift.
+    ///
+    /// Warm-up and ranking run on a single-core replica of the vCPU's
+    /// core ([`Host::fork_vcpu`]), so the host itself is never advanced,
+    /// and their result is memoized in the artifact store under
+    /// [`profile_key`]; a warm call skips both stages bit-identically.
+    /// The replica carries no activity sources: an app or injector
+    /// attached to the vCPU is not part of the profile.
     ///
     /// # Errors
     ///
-    /// Returns [`AegisError::Host`] for invalid vm/vcpu ids.
+    /// Returns [`AegisError::Host`] for invalid vm/vcpu ids and
+    /// [`AegisError::Uncoverable`] when fuzzing leaves no covering
+    /// gadget — the tenant is refused rather than run with zero noise.
     pub fn profile(
         &mut self,
         vm: VmId,
@@ -689,24 +700,21 @@ impl ServicePlane {
 
     pub(crate) fn profile(
         &mut self,
-        host: &mut Host,
+        host: &Host,
         vm: VmId,
         vcpu: usize,
         app: &dyn SecretApp,
     ) -> Result<DefensePlan, AegisError> {
         let cfg = &self.cfg.aegis;
+        // One store handle for the whole call: the profile lookup and the
+        // fuzzer's cleanup step honour the same AEGIS_CACHE_DIR /
+        // AEGIS_NO_CACHE.
+        let cache = ArtifactCache::default_location();
 
-        // Module 1a: warm-up profiling.
-        let warmup = {
-            let _s = obs::span("profile.warmup");
-            warmup_profile(host, vm, vcpu, app, &cfg.warmup)?
-        };
-
-        // Module 1b: vulnerability ranking by mutual information.
-        let rankings = {
-            let _s = obs::span("profile.rank");
-            rank_events(host, vm, vcpu, app, &warmup.vulnerable, &cfg.rank)?
-        };
+        // Module 1: warm-up profiling and MI ranking, on a replica of
+        // the profiled core only — the caller's host is never advanced.
+        let mut replica = host.fork_vcpu(vm, vcpu)?;
+        let (warmup, rankings) = profile_replica(&mut replica, vm, app, cfg, &cache)?;
 
         // Module 2: fuzz the most vulnerable events on an isolated core
         // of the same microarchitecture.
@@ -719,7 +727,7 @@ impl ServicePlane {
             .take(cfg.fuzz_top_events)
             .map(|r| r.event)
             .collect();
-        let fuzzer = EventFuzzer::new(cfg.fuzzer);
+        let fuzzer = EventFuzzer::with_cache(cfg.fuzzer, cache);
         let mut outcome = fuzzer.run(&isa, &mut fuzz_core, &targets);
 
         // Module 2 filtering + covering set.
@@ -730,11 +738,18 @@ impl ServicePlane {
             covering_set(&outcome.per_event)
         };
 
-        // Calibrate the injection unit.
+        // Calibrate the injection unit. No covering gadget means no
+        // noise to inject: refuse the plan rather than issue one that
+        // claims protection and injects nothing.
         let stack = {
             let _s = obs::span("plan.calibrate");
             fuzz_core.reset_cache();
-            aegis_obfuscator::GadgetStack::from_covering(&isa, &mut fuzz_core, &covering)
+            GadgetStack::try_from_covering(&isa, &mut fuzz_core, &covering).map_err(|reason| {
+                AegisError::Uncoverable {
+                    app: app.name().to_string(),
+                    reason,
+                }
+            })?
         };
 
         Ok(DefensePlan {

@@ -599,8 +599,9 @@ pub fn mea_sweep(
 
 /// Cache key of one collected classification dataset: the complete set
 /// of inputs collection is a pure function of — substrate (host seed),
-/// workload, event list, collection settings (including the derived
-/// per-cell seed), and the full deployment.
+/// workload (by [`SecretApp::fingerprint`], which covers every
+/// constructor parameter), event list, collection settings (including
+/// the derived per-cell seed), and the full deployment.
 fn dataset_key(
     cfg: &SweepConfig,
     app: &dyn SecretApp,
@@ -610,8 +611,7 @@ fn dataset_key(
 ) -> u64 {
     fingerprint(&(
         cfg.host_seed,
-        app.name().to_string(),
-        app.n_secrets() as u64,
+        app.fingerprint(),
         events.to_vec(),
         *collect,
         &deployment.stack,
@@ -630,8 +630,7 @@ fn mea_key(
 ) -> u64 {
     fingerprint(&(
         cfg.host_seed,
-        zoo.name().to_string(),
-        zoo.n_secrets() as u64,
+        zoo.fingerprint(),
         events.to_vec(),
         *collect,
         &deployment.stack,
@@ -664,7 +663,8 @@ mod tests {
             &mut core,
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             64,
-        );
+        )
+        .expect("non-empty gadget stack");
         DefenseDeployment {
             stack,
             mechanism: MechanismChoice::Laplace { epsilon: 0.25 },
@@ -742,6 +742,63 @@ mod tests {
         for cell in &cold.cells {
             assert!((0.0..=1.0).contains(&cell.accuracy), "{cell:?}");
         }
+    }
+
+    #[test]
+    fn differently_seeded_apps_never_share_cells() {
+        use aegis_faults::FaultPlan;
+        use aegis_workloads::WebsiteCatalog;
+
+        let (host, vm) = host_vm(3);
+        let core = host.core_of(vm, 0).unwrap();
+        let events = host.core(core).catalog().attack_events().to_vec();
+        let collect = CollectConfig {
+            traces_per_secret: 2,
+            window_ns: 20_000_000,
+            interval_ns: 2_000_000,
+            pool: 5,
+            seed: 7,
+            per_secret_noise: false,
+        };
+        let deployment = test_deployment(&host);
+        let cfg = SweepConfig {
+            eps_grid: vec![1.0],
+            victim_traces_per_secret: 1,
+            robust_traces_per_secret: 1,
+            ..quick_sweep_cfg()
+        };
+        let dir = std::env::temp_dir().join(format!("aegis-sweep-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ArtifactCache::with_faults(&dir, FaultPlan::none());
+        let run = |app: &WebsiteCatalog| {
+            classification_sweep(
+                &host,
+                vm,
+                0,
+                app,
+                &events,
+                &collect,
+                &deployment,
+                None,
+                &cfg,
+                &cache,
+            )
+            .unwrap()
+        };
+        // Seeds 1 and 2 build different catalogs with the same name and
+        // the same number of sites.
+        let (one, two) = (WebsiteCatalog::new(1), WebsiteCatalog::new(2));
+        assert_eq!((one.name(), one.n_secrets()), (two.name(), two.n_secrets()));
+        let first = run(&one);
+        let second = run(&two);
+        let again = run(&one);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(first.cache_hits, 0);
+        assert_eq!(second.cache_hits, 0, "seed 2 was served seed 1's cells");
+        assert_eq!(second.cache_misses, first.cache_misses);
+        assert_eq!(again.cache_misses, 0);
+        assert_eq!(again.cells, first.cells);
     }
 
     #[test]

@@ -169,6 +169,9 @@ pub fn constout(cfg: &ExpConfig) {
         ) -> aegis::workloads::WorkloadPlan {
             self.0.sample_plan(self.1, rng)
         }
+        fn fingerprint(&self) -> u64 {
+            aegis::workloads::app_fingerprint(self.name(), &[self.0.fingerprint(), self.1 as u64])
+        }
     }
     let one = OneSite(&app, site);
 

@@ -155,13 +155,7 @@ pub fn clean_dataset_cached(
     let cache = ArtifactCache::default_location();
     let key = ArtifactKey::raw(
         "clean-dataset",
-        fingerprint(&(
-            host_seed,
-            app.name().to_string(),
-            app.n_secrets() as u64,
-            events.to_vec(),
-            *collect,
-        )),
+        fingerprint(&(host_seed, app.fingerprint(), events.to_vec(), *collect)),
     );
     if let Some(hit) = cache.get_col_or_json::<Dataset>(&key) {
         return hit;
@@ -187,13 +181,7 @@ pub fn clean_mea_runs_cached(
     let cache = ArtifactCache::default_location();
     let key = ArtifactKey::raw(
         "clean-mea-runs",
-        fingerprint(&(
-            host_seed,
-            zoo.name().to_string(),
-            zoo.n_secrets() as u64,
-            events.to_vec(),
-            *collect,
-        )),
+        fingerprint(&(host_seed, zoo.fingerprint(), events.to_vec(), *collect)),
     );
     if let Some(hit) = cache.get_col_or_json::<MeaRunLog>(&key) {
         return hit.0;
@@ -207,11 +195,11 @@ pub fn clean_mea_runs_cached(
 
 static PLAN_CACHE: Mutex<Option<HashMap<String, DefensePlan>>> = Mutex::new(None);
 
-/// Runs the Aegis offline pipeline for `app` (cached per app name for the
-/// lifetime of the process: the plan is a one-time offline artifact in
-/// the paper as well).
+/// Runs the Aegis offline pipeline for `app` (cached per app and
+/// experiment settings for the lifetime of the process: the plan is a
+/// one-time offline artifact in the paper as well).
 pub fn plan_for(cfg: &ExpConfig, app: &dyn SecretApp) -> DefensePlan {
-    let key = format!("{}-{}", app.name(), cfg.quick);
+    let key = format!("{:016x}-{}-{}", app.fingerprint(), cfg.seed, cfg.quick);
     if let Some(plan) = PLAN_CACHE
         .lock()
         .unwrap()

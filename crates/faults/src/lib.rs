@@ -315,6 +315,13 @@ impl FaultStream {
         }
     }
 
+    /// The stream's position: its whole state, one word. Two streams
+    /// at the same position produce the same draws from here on, which
+    /// is what state fingerprints hash.
+    pub fn position(&self) -> u64 {
+        self.state
+    }
+
     /// Next raw 64-bit draw.
     pub fn bits(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

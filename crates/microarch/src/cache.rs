@@ -56,6 +56,15 @@ pub struct DataPageCache {
 }
 
 impl DataPageCache {
+    /// Feeds the residency and dirty masks into `h` (see
+    /// [`crate::Core::hash_state`]).
+    pub fn hash_state(&self, h: &mut aegis_par::StateHasher) {
+        let DataPageCache { l1, l2, dirty } = self;
+        for mask in [l1, l2, dirty] {
+            h.u64(*mask);
+        }
+    }
+
     /// A cold cache: no scratch-page line resident anywhere.
     pub fn cold() -> Self {
         DataPageCache {

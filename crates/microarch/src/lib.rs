@@ -50,6 +50,10 @@ mod response;
 
 pub use crate::core::{Core, ExecError, InterferenceConfig};
 pub use activity::{ActivityVector, Feature, Origin};
+/// The state hasher behind [`Core::hash_state`], re-exported so the
+/// layers built on the substrate (hosts, workloads) can fingerprint
+/// their own state the same way.
+pub use aegis_par::StateHasher;
 pub use batch::CoreBatch;
 pub use arch::MicroArch;
 pub use cache::{CacheOutcome, DataPageCache, PAGE_LINES};

@@ -3,6 +3,7 @@
 use crate::activity::{ActivityVector, Origin};
 use crate::events::{EventCatalog, EventId};
 use crate::response::{CounterLane, ResponseMatrix};
+use aegis_par::StateHasher;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -137,6 +138,32 @@ impl Pmu {
     /// The noise base keying this PMU's measurement-noise streams.
     pub fn noise_base(&self) -> u64 {
         self.noise_base
+    }
+
+    /// Feeds the PMU's state into `h` (see [`crate::Core::hash_state`]).
+    /// The catalog enters by identity (model and size); the response
+    /// matrix is derived from it and adds nothing.
+    pub fn hash_state(&self, h: &mut StateHasher) {
+        let Pmu {
+            catalog,
+            matrix: _,
+            noise_base,
+            slots,
+            fail_closed,
+        } = self;
+        h.str(&format!("{:?}", catalog.arch()));
+        h.usize(catalog.len());
+        h.u64(*noise_base);
+        for slot in slots {
+            h.bool(slot.is_some());
+            if let Some(Counter { config, lane }) = slot {
+                let CounterConfig { event, filter } = config;
+                h.u64(u64::from(event.0));
+                h.str(&format!("{filter:?}"));
+                lane.hash_state(h);
+            }
+        }
+        h.bool(*fail_closed);
     }
 
     /// Re-keys the measurement-noise streams (used by `Core::reseed`).

@@ -15,7 +15,7 @@ use crate::activity::{ActivityVector, Feature, Origin};
 use crate::arch::MicroArch;
 use crate::events::{EventCatalog, EventId};
 use crate::rand_util::gauss_from_bits;
-use aegis_par::derive_seed;
+use aegis_par::{derive_seed, StateHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -283,6 +283,20 @@ impl CounterLane {
     /// The counted event.
     pub fn event(&self) -> EventId {
         self.event
+    }
+
+    /// Feeds the lane's state into `h` (see [`crate::Core::hash_state`]).
+    pub fn hash_state(&self, h: &mut StateHasher) {
+        let CounterLane {
+            event,
+            guest_visible,
+            acc,
+            draws,
+        } = self;
+        h.u64(u64::from(event.0));
+        h.bool(*guest_visible);
+        h.f64s(&acc.0);
+        h.u64(draws.load(Ordering::Relaxed));
     }
 
     /// Whether guest-origin activity moves this counter.

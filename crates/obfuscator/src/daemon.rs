@@ -464,6 +464,7 @@ mod tests {
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             100,
         )
+        .expect("non-empty gadget stack")
     }
 
     fn drive(obf: &mut Obfuscator, ticks: usize, app_uops_per_us: f64) -> Vec<f64> {
@@ -649,6 +650,7 @@ mod tests {
             ],
             100,
         )
+        .expect("non-empty gadget stack")
     }
 
     #[test]

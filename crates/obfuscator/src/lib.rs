@@ -25,4 +25,4 @@ pub use baselines::{ConstantOutput, SecretConstantNoise, UniformRandomNoise};
 pub use daemon::{
     Obfuscator, ObfuscatorConfig, STALE_INTERVALS_DEGRADED, STARVED_TICKS_DEGRADED,
 };
-pub use stack::GadgetStack;
+pub use stack::{GadgetStack, StackError};

@@ -7,9 +7,10 @@
 //! value computed from the noise calculator" (Section VII-C).
 
 use aegis_fuzzer::{CoveringGadget, Gadget};
-use aegis_isa::IsaCatalog;
+use aegis_isa::{InstrId, IsaCatalog};
 use aegis_microarch::{ActivityVector, Core, Feature, Origin};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A calibrated stack of covering gadgets: the obfuscator's unit of
 /// injection, annotated with the micro-architectural activity one full
@@ -26,27 +27,66 @@ pub struct GadgetStack {
     pub per_gadget: Vec<ActivityVector>,
 }
 
+/// Why a gadget stack could not be calibrated. An empty covering set is
+/// a legitimate fuzzing outcome — the paper's fuzzer can find no gadget
+/// for an event — so it is an error to refuse on, not a crash: a stack
+/// with nothing in it would inject zero noise while claiming protection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StackError {
+    /// No gadget to stack.
+    Empty,
+    /// Calibration was asked for zero repetitions.
+    NoRepetitions,
+    /// A gadget references an instruction missing from the catalog.
+    UnknownInstruction(InstrId),
+}
+
+impl fmt::Display for StackError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StackError::Empty => f.write_str("no covering gadget: a gadget stack cannot be empty"),
+            StackError::NoRepetitions => f.write_str("calibration needs at least one repetition"),
+            StackError::UnknownInstruction(id) => {
+                write!(f, "gadget instruction {id} is not in the catalog")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StackError {}
+
 impl GadgetStack {
     /// Calibrates a stack by executing it `reps` times on a scratch core
     /// and averaging the produced activity.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `gadgets` is empty, `reps == 0`, or a gadget references
-    /// an instruction missing from the catalog.
+    /// Returns [`StackError`] if `gadgets` is empty, `reps == 0`, or a
+    /// gadget references an instruction missing from the catalog. The
+    /// core is untouched on error.
     pub fn calibrate(
         catalog: &IsaCatalog,
         core: &mut Core,
         gadgets: Vec<Gadget>,
         reps: usize,
-    ) -> Self {
-        assert!(!gadgets.is_empty(), "a gadget stack cannot be empty");
-        assert!(reps > 0, "calibration needs at least one repetition");
+    ) -> Result<Self, StackError> {
+        if gadgets.is_empty() {
+            return Err(StackError::Empty);
+        }
+        if reps == 0 {
+            return Err(StackError::NoRepetitions);
+        }
+        let specs = gadgets
+            .iter()
+            .map(|g| {
+                let spec = |id| catalog.get(id).ok_or(StackError::UnknownInstruction(id));
+                Ok([spec(g.reset)?, spec(g.trigger)?])
+            })
+            .collect::<Result<Vec<_>, StackError>>()?;
         let mut per_gadget = vec![ActivityVector::new(); gadgets.len()];
         for _ in 0..reps {
-            for (gi, g) in gadgets.iter().enumerate() {
-                for id in [g.reset, g.trigger] {
-                    let spec = catalog.get(id).expect("gadget instruction in catalog");
+            for (gi, pair) in specs.iter().enumerate() {
+                for spec in pair {
                     if let Ok(delta) = core.execute_instr(spec, Origin::Host) {
                         per_gadget[gi] += delta;
                     }
@@ -58,25 +98,42 @@ impl GadgetStack {
             *pg = pg.scaled(1.0 / reps as f64);
             unit_activity += *pg;
         }
-        GadgetStack {
+        Ok(GadgetStack {
             gadgets,
             unit_activity,
             per_gadget,
-        }
+        })
     }
 
-    /// Builds and calibrates the stack from a fuzzer covering set.
+    /// Builds and calibrates the stack from a fuzzer covering set — the
+    /// fail-closed form the offline pipeline uses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StackError::Empty`] if `covering` is empty (see
+    /// [`GadgetStack::calibrate`] for the rest).
+    pub fn try_from_covering(
+        catalog: &IsaCatalog,
+        core: &mut Core,
+        covering: &[CoveringGadget],
+    ) -> Result<Self, StackError> {
+        let gadgets = covering.iter().map(|c| c.gadget).collect();
+        Self::calibrate(catalog, core, gadgets, 64)
+    }
+
+    /// [`GadgetStack::try_from_covering`] for callers that already hold
+    /// a non-empty covering set.
     ///
     /// # Panics
     ///
-    /// Panics if `covering` is empty.
+    /// Panics on any [`StackError`], e.g. an empty `covering`.
     pub fn from_covering(
         catalog: &IsaCatalog,
         core: &mut Core,
         covering: &[CoveringGadget],
     ) -> Self {
-        let gadgets = covering.iter().map(|c| c.gadget).collect();
-        Self::calibrate(catalog, core, gadgets, 64)
+        Self::try_from_covering(catalog, core, covering)
+            .unwrap_or_else(|e| panic!("gadget stack calibration failed: {e}"))
     }
 
     /// Reference effect of one stack execution: µops retired, the unit
@@ -116,7 +173,7 @@ mod tests {
     #[test]
     fn calibration_measures_stack_activity() {
         let (catalog, mut core) = setup();
-        let stack = GadgetStack::calibrate(&catalog, &mut core, vec![flush_load()], 100);
+        let stack = GadgetStack::calibrate(&catalog, &mut core, vec![flush_load()], 100).unwrap();
         // CLFLUSH (2 µops) + load (1 µop).
         assert!((stack.unit_activity[Feature::UopsRetired] - 3.0).abs() < 0.5);
         // Every load misses after the flush → one refill per execution.
@@ -129,7 +186,7 @@ mod tests {
     fn unit_uops_has_floor() {
         let (catalog, mut core) = setup();
         let nop_gadget = Gadget::new(WellKnown::Nop.id(), WellKnown::Nop.id());
-        let stack = GadgetStack::calibrate(&catalog, &mut core, vec![nop_gadget], 10);
+        let stack = GadgetStack::calibrate(&catalog, &mut core, vec![nop_gadget], 10).unwrap();
         assert!(stack.unit_uops() >= 1.0);
     }
 
@@ -138,17 +195,35 @@ mod tests {
         let (catalog, mut core) = setup();
         let g1 = flush_load();
         let g2 = Gadget::new(WellKnown::Nop.id(), WellKnown::SimdAdd.id());
-        let single = GadgetStack::calibrate(&catalog, &mut core, vec![g1], 50);
+        let single = GadgetStack::calibrate(&catalog, &mut core, vec![g1], 50).unwrap();
         core.reset_cache();
-        let double = GadgetStack::calibrate(&catalog, &mut core, vec![g1, g2], 50);
+        let double = GadgetStack::calibrate(&catalog, &mut core, vec![g1, g2], 50).unwrap();
         assert!(double.unit_uops() > single.unit_uops());
         assert!(double.unit_activity[Feature::SimdOps] > 0.5);
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_stack_panics() {
+    fn degenerate_stacks_are_typed_errors() {
         let (catalog, mut core) = setup();
-        GadgetStack::calibrate(&catalog, &mut core, vec![], 10);
+        let before = core.clone();
+        assert_eq!(
+            GadgetStack::calibrate(&catalog, &mut core, vec![], 10),
+            Err(StackError::Empty)
+        );
+        assert_eq!(
+            GadgetStack::try_from_covering(&catalog, &mut core, &[]),
+            Err(StackError::Empty)
+        );
+        assert_eq!(
+            GadgetStack::calibrate(&catalog, &mut core, vec![flush_load()], 0),
+            Err(StackError::NoRepetitions)
+        );
+        let bogus = Gadget::new(WellKnown::Nop.id(), InstrId(u32::MAX));
+        assert_eq!(
+            GadgetStack::calibrate(&catalog, &mut core, vec![flush_load(), bogus], 10),
+            Err(StackError::UnknownInstruction(InstrId(u32::MAX)))
+        );
+        // Refusing executes nothing.
+        assert_eq!(core.cycles(), before.cycles());
     }
 }

@@ -23,6 +23,7 @@ fn diverse_stack() -> GadgetStack {
         ],
         64,
     )
+    .expect("non-empty gadget stack")
 }
 
 fn drive_ms(obf: &mut Obfuscator, ms: usize, app_uops: f64) -> Vec<ActivityVector> {
@@ -49,6 +50,7 @@ fn injected_volume_is_mechanism_not_stack_dependent() {
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             64,
         )
+        .expect("non-empty gadget stack")
     };
     let mut a = Obfuscator::with_seed(single, Box::new(LaplaceMechanism::new(1.0, 3)), cfg, 3);
     let mut b = Obfuscator::with_seed(

@@ -33,6 +33,74 @@ pub fn fingerprint<T: Serialize>(value: &T) -> u64 {
     hash
 }
 
+/// FNV-1a over raw bytes: the fingerprint of a *state* (a core, a
+/// host) rather than of a configuration. Unlike [`fingerprint`] it never
+/// goes through JSON text, so every `f64` contributes its exact bit
+/// pattern (`-0.0` and `0.0` differ, as do NaN payloads) and a large
+/// state costs one pass over its bytes.
+#[derive(Debug, Clone)]
+pub struct StateHasher(u64);
+
+impl StateHasher {
+    /// An empty hasher (the FNV-1a 64-bit offset basis).
+    pub fn new() -> Self {
+        StateHasher(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds one word, little-endian.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Feeds an index or length.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    /// Feeds a flag.
+    pub fn bool(&mut self, v: bool) {
+        self.bytes(&[u8::from(v)]);
+    }
+
+    /// Feeds an `f64` by its bit pattern.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Feeds a slice of `f64`s by their bit patterns, length-prefixed.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.usize(vs.len());
+        for &v in vs {
+            self.f64(v);
+        }
+    }
+
+    /// Feeds a string, length-prefixed so adjacent strings cannot alias.
+    pub fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    /// The fingerprint of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for StateHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// A directory of memoized artifacts: columnar `.acs` files for bulk
 /// numeric data, JSON for small metadata, journaled by a [`Manifest`].
 #[derive(Clone, Debug)]
@@ -139,13 +207,15 @@ impl ArtifactCache {
         }
     }
 
-    /// Counts a cache outcome and, at the `full` level, logs it with
+    /// Counts a cache outcome, in total and per artifact kind
+    /// (`cache.hit.profile`, ...), and, at the `full` level, logs it with
     /// enough context to find the artifact on disk.
     fn note(&self, outcome: &str, kind: &str, key: u64, path: &Path) {
         if !obs::enabled() {
             return;
         }
         obs::counter_add(outcome, 1.0);
+        obs::counter_add(&format!("{outcome}.{kind}"), 1.0);
         obs::event(
             outcome,
             &[
@@ -343,6 +413,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aegis-par-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn state_hasher_sees_float_bits_and_string_boundaries() {
+        let of = |f: &dyn Fn(&mut StateHasher)| {
+            let mut h = StateHasher::new();
+            f(&mut h);
+            h.finish()
+        };
+        assert_ne!(of(&|h| h.f64(0.0)), of(&|h| h.f64(-0.0)));
+        assert_eq!(of(&|h| h.f64(0.1 + 0.2)), of(&|h| h.f64(0.1 + 0.2)));
+        assert_ne!(of(&|h| h.f64(0.1 + 0.2)), of(&|h| h.f64(0.3)));
+        assert_ne!(
+            of(&|h| {
+                h.str("ab");
+                h.str("c");
+            }),
+            of(&|h| {
+                h.str("a");
+                h.str("bc");
+            })
+        );
     }
 
     #[test]

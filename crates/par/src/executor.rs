@@ -129,37 +129,42 @@ impl Executor {
         drop(work_tx);
 
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                let make_ctx = &make_ctx;
-                let work = &work;
-                scope.spawn(move || {
-                    let mut ctx = make_ctx(worker);
-                    let mut units = 0u64;
-                    let mut idle_ns = 0u128;
-                    loop {
-                        let wait = Instant::now();
-                        let Ok((index, item)) = work_rx.recv() else {
-                            break;
-                        };
-                        idle_ns += wait.elapsed().as_nanos();
-                        let result = work(&mut ctx, index, item);
-                        units += 1;
-                        done_tx
-                            .send((index, result))
-                            .ok()
-                            .expect("collector alive until scope ends");
-                    }
-                    if observe {
-                        record_worker_stats(worker, units, idle_ns as u64);
-                    }
-                });
+        let drain = |worker: usize,
+                     work_rx: &channel::Receiver<(usize, T)>,
+                     done_tx: &channel::Sender<(usize, R)>| {
+            let mut ctx = make_ctx(worker);
+            let mut units = 0u64;
+            let mut idle_ns = 0u128;
+            loop {
+                let wait = Instant::now();
+                let Ok((index, item)) = work_rx.recv() else {
+                    break;
+                };
+                idle_ns += wait.elapsed().as_nanos();
+                let result = work(&mut ctx, index, item);
+                units += 1;
+                done_tx
+                    .send((index, result))
+                    .ok()
+                    .expect("collector alive until scope ends");
             }
+            if observe {
+                record_worker_stats(worker, units, idle_ns as u64);
+            }
+        };
+        std::thread::scope(|scope| {
+            for worker in 1..workers {
+                let (work_rx, done_tx, drain) = (work_rx.clone(), done_tx.clone(), &drain);
+                scope.spawn(move || drain(worker, &work_rx, &done_tx));
+            }
+            // Worker 0 is the calling thread, which would otherwise only
+            // wait: one spawn fewer per call, and short parallel sections
+            // repeated many times do not churn per-thread allocator
+            // arenas (peak RSS stays flat).
+            drain(0, &work_rx, &done_tx);
             drop(done_tx);
             drop(work_rx);
-            // The spawning thread doubles as the collector.
+            // The spawning thread then doubles as the collector.
             for (index, result) in done_rx.iter() {
                 slots[index] = Some(result);
             }

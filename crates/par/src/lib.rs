@@ -27,7 +27,7 @@ mod executor;
 mod seed;
 pub mod store;
 
-pub use cache::{fingerprint, ArtifactCache};
+pub use cache::{fingerprint, ArtifactCache, StateHasher};
 pub use executor::{available_threads, get_threads, set_threads, Executor};
 pub use seed::{derive_seed, splitmix64};
 pub use store::{

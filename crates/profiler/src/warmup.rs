@@ -7,7 +7,7 @@
 //! is idle" (Section V-B). Events whose counts do not change are removed,
 //! leaving <10% — mainly hardware (H/HC) and raw (R) events.
 
-use aegis_microarch::{EventId, EventKind, OriginFilter};
+use aegis_microarch::{EventCatalog, EventId, EventKind, OriginFilter};
 use aegis_sev::{ActivitySource, Host, HostError, PlanSource, VmId};
 use aegis_workloads::{MixSpec, SecretApp, Segment, WorkloadPlan};
 use rand::rngs::StdRng;
@@ -78,6 +78,36 @@ pub struct WarmupResult {
 }
 
 impl WarmupResult {
+    /// Assembles a result from the surviving events, deriving the
+    /// per-kind survival rows from `catalog` — the form a stored profile
+    /// is rebuilt in, since survival is a pure function of the two.
+    pub fn from_vulnerable(
+        catalog: &EventCatalog,
+        vulnerable: Vec<EventId>,
+        tested: usize,
+    ) -> WarmupResult {
+        let kind_survival = EventKind::ALL
+            .iter()
+            .map(|&kind| {
+                let total = catalog.events().iter().filter(|e| e.kind == kind).count();
+                let remaining = vulnerable
+                    .iter()
+                    .filter(|&&id| catalog.get(id).is_some_and(|e| e.kind == kind))
+                    .count();
+                KindSurvival {
+                    kind,
+                    total,
+                    remaining,
+                }
+            })
+            .collect();
+        WarmupResult {
+            vulnerable,
+            tested,
+            kind_survival,
+        }
+    }
+
     /// Fraction of events that survived.
     pub fn survival_fraction(&self) -> f64 {
         self.vulnerable.len() as f64 / self.tested.max(1) as f64
@@ -153,26 +183,11 @@ pub fn warmup_profile(
     // Leave the VM idle.
     host.attach_app(vm, vcpu, Box::new(PlanSource::new(WorkloadPlan::new())))?;
 
-    let kind_survival = EventKind::ALL
-        .iter()
-        .map(|&kind| {
-            let total = catalog.events().iter().filter(|e| e.kind == kind).count();
-            let remaining = vulnerable
-                .iter()
-                .filter(|&&id| catalog.get(id).is_some_and(|e| e.kind == kind))
-                .count();
-            KindSurvival {
-                kind,
-                total,
-                remaining,
-            }
-        })
-        .collect();
-    Ok(WarmupResult {
+    Ok(WarmupResult::from_vulnerable(
+        &catalog,
         vulnerable,
-        tested: all_events.len(),
-        kind_survival,
-    })
+        all_events.len(),
+    ))
 }
 
 fn idle_plan(duration_ns: u64) -> WorkloadPlan {

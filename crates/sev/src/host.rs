@@ -5,6 +5,7 @@ use crate::source::{ActivitySource, ProtectionStatus};
 use aegis_faults::{self as faults, FaultPlan, FaultStream};
 use aegis_microarch::{
     ActivityVector, Core, EventCatalog, EventId, Feature, MicroArch, Origin, OriginFilter,
+    StateHasher,
 };
 use aegis_perf::{PerfError, Trace, TraceRecorder};
 use serde::{Deserialize, Serialize};
@@ -411,6 +412,140 @@ impl Host {
         out.host_bg = self.host_bg;
         out.faults = self.faults;
         out.fault_state.clone_from(&self.fault_state);
+    }
+
+    /// A detached replica of just the core that runs `(vm, vcpu)`: that
+    /// core's [`Core`] and fault/supervision state, the clock, the host
+    /// background, the fault plan, and the VM's id, mode and launch time.
+    /// In the replica the VM has exactly one vCPU — index 0, pinned to
+    /// core 0 — carrying the original vCPU's statistics. Activity sources
+    /// are left behind, as in [`Host::fork_detached`].
+    ///
+    /// [`Host::tick`] has no cross-core coupling: each core's step reads
+    /// only its own core, its own fault streams, its own vCPU and the
+    /// shared constants above. So anything run on `(vm, 0)` of the
+    /// replica is bit-identical to the same thing run on `(vm, vcpu)` of
+    /// the full host, minus the ticks of every other core. The offline
+    /// profiler runs on such a replica, which leaves the caller's host
+    /// untouched and makes the profile a function of the replica's
+    /// [`Host::state_fingerprint`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HostError`] for unknown ids.
+    pub fn fork_vcpu(&self, vm: VmId, vcpu: usize) -> Result<Host, HostError> {
+        let core = self.core_of(vm, vcpu)?;
+        let src = self.vm(vm)?;
+        Ok(Host {
+            arch: self.arch,
+            cores: vec![self.cores[core].clone()],
+            assignment: vec![Some((0, 0))],
+            vms: vec![Vm {
+                id: src.id,
+                mode: src.mode,
+                vcpus: vec![Vcpu {
+                    core: 0,
+                    app: None,
+                    injector: None,
+                    stats: src.vcpus[vcpu].stats,
+                }],
+                launched_at_ns: src.launched_at_ns,
+            }],
+            clock_ns: self.clock_ns,
+            host_bg: self.host_bg,
+            faults: self.faults,
+            fault_state: vec![self.fault_state[core].clone()],
+        })
+    }
+
+    /// A fingerprint of the host's simulation state: every core (see
+    /// [`Core::hash_state`]), the core→vCPU map, each VM's id, mode,
+    /// launch time and vCPU statistics, the clock, the host background,
+    /// the fault plan and every per-core fault stream and watchdog
+    /// counter. Floats enter by their bit patterns. Attached activity
+    /// sources are not covered: they are process-unique and are not
+    /// replicated by [`Host::fork_detached`], so the fingerprint names
+    /// exactly the state a fork carries — fork twins hash equal, and two
+    /// hosts with equal fingerprints run identically once given the same
+    /// sources. The destructuring is exhaustive: a new field does not
+    /// compile until it is hashed here.
+    pub fn state_fingerprint(&self) -> u64 {
+        let Host {
+            arch,
+            cores,
+            assignment,
+            vms,
+            clock_ns,
+            host_bg,
+            faults,
+            fault_state,
+        } = self;
+        let mut h = StateHasher::new();
+        h.str(&format!("{arch:?}"));
+        h.usize(cores.len());
+        for core in cores {
+            core.hash_state(&mut h);
+        }
+        for slot in assignment {
+            h.bool(slot.is_some());
+            if let Some((vm_idx, vcpu_idx)) = slot {
+                h.usize(*vm_idx);
+                h.usize(*vcpu_idx);
+            }
+        }
+        h.usize(vms.len());
+        for Vm {
+            id,
+            mode,
+            vcpus,
+            launched_at_ns,
+        } in vms
+        {
+            h.u64(u64::from(id.0));
+            h.str(&format!("{mode:?}"));
+            h.u64(*launched_at_ns);
+            h.usize(vcpus.len());
+            for Vcpu {
+                core,
+                app: _,
+                injector: _,
+                stats,
+            } in vcpus
+            {
+                let VcpuStats {
+                    app_uops,
+                    injected_uops,
+                    app_done_at_ns,
+                } = stats;
+                h.usize(*core);
+                h.f64(*app_uops);
+                h.f64(*injected_uops);
+                h.bool(app_done_at_ns.is_some());
+                h.u64(app_done_at_ns.unwrap_or(0));
+            }
+        }
+        h.u64(*clock_ns);
+        h.f64s(&host_bg.0);
+        hash_fault_plan(&mut h, faults);
+        for CoreFaultState {
+            inj_stream,
+            tick_stream,
+            stall_left,
+            detached,
+            unhealthy_ticks,
+            fail_closed,
+        } in fault_state
+        {
+            for stream in [inj_stream, tick_stream] {
+                h.bool(stream.is_some());
+                h.u64(stream.as_ref().map_or(0, FaultStream::position));
+            }
+            h.u64(u64::from(*stall_left));
+            h.bool(*detached);
+            h.u64(u64::from(*unhealthy_ticks));
+            h.bool(*fail_closed);
+        }
+        h.finish()
     }
 
     /// A VM replicated without its process-unique activity sources (see
@@ -1228,6 +1363,55 @@ pub struct LaneGuest {
     pub app: Option<Box<dyn ActivitySource>>,
     /// The obfuscator daemon's activity source, if any.
     pub injector: Option<Box<dyn ActivitySource>>,
+}
+
+/// Feeds every field of a fault plan into `h` (exhaustive, as
+/// [`Host::state_fingerprint`] requires).
+fn hash_fault_plan(h: &mut StateHasher, plan: &FaultPlan) {
+    let FaultPlan {
+        seed,
+        counter_corrupt,
+        counter_saturate,
+        counter_overflow,
+        pmc_program_fail,
+        slot_steal,
+        injector_stall,
+        stall_ticks,
+        injector_detach,
+        tick_jitter,
+        sample_drop,
+        cache_torn,
+        fuzz_kill_after,
+        sweep_kill_after,
+        health_flap,
+        reload_torn,
+        ledger_corrupt,
+        host_crash,
+        host_degrade,
+    } = *plan;
+    h.u64(seed);
+    for rate in [
+        counter_corrupt,
+        counter_saturate,
+        counter_overflow,
+        pmc_program_fail,
+        slot_steal,
+        injector_stall,
+        injector_detach,
+        tick_jitter,
+        sample_drop,
+        cache_torn,
+        health_flap,
+        reload_torn,
+        ledger_corrupt,
+        host_crash,
+        host_degrade,
+    ] {
+        h.f64(rate);
+    }
+    h.u64(u64::from(stall_ticks));
+    h.u64(fuzz_kill_after);
+    h.u64(sweep_kill_after);
 }
 
 impl fmt::Debug for Host {

@@ -129,6 +129,10 @@ impl SecretApp for CryptoApp {
         self.window_ns
     }
 
+    fn fingerprint(&self) -> u64 {
+        crate::app_fingerprint(self.name(), &[self.key_bits as u64, self.window_ns])
+    }
+
     fn sample_plan(&self, secret: usize, rng: &mut StdRng) -> WorkloadPlan {
         assert!(secret < self.n_secrets(), "key out of range");
         let mut plan = WorkloadPlan::new();

@@ -467,7 +467,6 @@ fn build_zoo() -> Vec<ModelArch> {
 pub struct DnnZoo {
     models: Vec<ModelArch>,
     window_ns: u64,
-    #[allow(dead_code)]
     seed: u64,
 }
 
@@ -537,6 +536,10 @@ impl SecretApp for DnnZoo {
 
     fn window_ns(&self) -> u64 {
         self.window_ns
+    }
+
+    fn fingerprint(&self) -> u64 {
+        crate::app_fingerprint(self.name(), &[self.seed, self.window_ns])
     }
 
     /// One monitoring window: inference repeated back-to-back until the

@@ -96,6 +96,10 @@ impl SecretApp for KeystrokeApp {
         self.window_ns
     }
 
+    fn fingerprint(&self) -> u64 {
+        crate::app_fingerprint(self.name(), &[self.window_ns])
+    }
+
     fn sample_plan(&self, secret: usize, rng: &mut StdRng) -> WorkloadPlan {
         assert!(secret <= MAX_KEYSTROKES, "keystroke count out of range");
         // Pick distinct, non-overlapping press times.

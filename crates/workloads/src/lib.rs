@@ -20,7 +20,7 @@ mod mix;
 mod plan;
 mod website;
 
-pub use app::SecretApp;
+pub use app::{app_fingerprint, SecretApp};
 pub use crypto::CryptoApp;
 pub use dnn::{DnnZoo, Layer, LayerKind, LayerSpan, ModelArch, N_MODELS};
 pub use keystroke::{KeystrokeApp, MAX_KEYSTROKES};

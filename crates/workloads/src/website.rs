@@ -261,6 +261,7 @@ fn perturb(kind: PhaseKind, rng: &mut StdRng) -> SitePhase {
 pub struct WebsiteCatalog {
     sites: Vec<SiteProfile>,
     window_ns: u64,
+    seed: u64,
 }
 
 impl WebsiteCatalog {
@@ -271,6 +272,7 @@ impl WebsiteCatalog {
                 .map(|i| SiteProfile::generate(i, seed))
                 .collect(),
             window_ns: 3_000_000_000,
+            seed,
         }
     }
 
@@ -299,6 +301,10 @@ impl SecretApp for WebsiteCatalog {
 
     fn window_ns(&self) -> u64 {
         self.window_ns
+    }
+
+    fn fingerprint(&self) -> u64 {
+        crate::app_fingerprint(self.name(), &[self.seed, self.window_ns])
     }
 
     fn sample_plan(&self, secret: usize, rng: &mut StdRng) -> WorkloadPlan {

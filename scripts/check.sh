@@ -51,6 +51,14 @@ echo "== fleet matrix (AEGIS_FAULTS=smoke) =="
 # see the ambient plan: the simulated physics must not move.
 AEGIS_FAULTS=smoke cargo test -q --test fleet_plane
 
+echo "== profile matrix (AEGIS_FAULTS=smoke) =="
+# The offline-profile contracts (cold == warm == the stages run on the
+# full host, the caller's host never advanced, the host fingerprint
+# that keys the store, torn/corrupt profile artifacts recomputed) re-run
+# under the smoke plan: the single-core replica carries live fault
+# streams and the store's torn-write site fires.
+AEGIS_FAULTS=smoke cargo test -q --test profile_cache
+
 echo "== deprecation lint (examples) =="
 # Examples must stay on the current API surface: nothing we present as
 # a usage model may lean on deprecated items. (The old collect_dataset /
@@ -72,5 +80,26 @@ echo "== bench baseline diff =="
 # throughput/speedup metric regressing more than 20%. Raw *_ns medians
 # are informational only; see scripts/bench_diff.sh.
 ./scripts/bench_diff.sh
+
+echo "== end-to-end benchmark (output checks only) =="
+# Every e2ebench workload once, briefly. Only the output checks gate
+# (warm == cold, traced == untraced, plans cover, storms evacuate,
+# Packed leaks while isolating policies sit at chance, tracked files
+# untouched): the last line must report "correct": true and
+# "failed": 0. Wall times are not gated here — they drift too much on
+# a shared VM; BENCHMARK.json carries the time bounds.
+cargo build --release --offline --quiet --manifest-path e2ebench/Cargo.toml
+for workload in offline-plan eps-sweep fleet-storm; do
+    last=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 --seed 11 | tail -n 1)
+    echo "$workload: $last"
+    case "$last" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "e2ebench $workload failed its output checks" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "check.sh: all green"

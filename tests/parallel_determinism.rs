@@ -362,7 +362,8 @@ fn sweep_grid_is_bit_identical_under_workers_obs_and_cache() {
             },
             vec![Gadget::new(WellKnown::Clflush.id(), WellKnown::Load64.id())],
             64,
-        ),
+        )
+        .expect("non-empty gadget stack"),
         mechanism: MechanismChoice::Laplace { epsilon: 0.25 },
         obfuscator: ObfuscatorConfig::default(),
     };
